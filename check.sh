@@ -7,8 +7,9 @@
 # jobs-invariance, rules-file round-trip, regret/speedup in release), the
 # exact-search smoke gate, the shard gate (--procs fleet byte-identical to
 # single-process on the huge suite, worker-crash recovery, socket serve
-# matching the stdin golden), and the scaling benchmark in smoke mode at
-# --jobs 1 and --jobs 4 plus once in release (multi-process rows included).
+# matching the stdin golden), the scaling benchmark in smoke mode at
+# --jobs 1 and --jobs 4 plus once in release (multi-process rows included),
+# and the repository benchmark's self-test (perfbench/run.py --self-test).
 #
 #   ./check.sh          # the whole gate
 #   ./check.sh --fast   # build + tests only
@@ -296,6 +297,9 @@ dune exec --no-build bench/main.exe -- --scaling --smoke --jobs 4
 
 say "scaling benchmark (smoke, release profile, multi-process rows)"
 dune exec --no-build --profile release bench/main.exe -- --scaling --smoke
+
+say "repository benchmark self-test (perfbench/run.py --self-test)"
+python3 perfbench/run.py --self-test
 
 say "all checks passed"
 STAGE="done"

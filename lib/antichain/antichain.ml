@@ -5,7 +5,9 @@ module Pattern = Mps_pattern.Pattern
 
 type t = int list
 
-let of_nodes_unchecked nodes = List.sort_uniq Int.compare nodes
+let of_sorted_prefix nodes len =
+  let rec go i acc = if i < 0 then acc else go (i - 1) (nodes.(i) :: acc) in
+  go (len - 1) []
 
 let of_nodes reach nodes =
   let sorted = List.sort Int.compare nodes in

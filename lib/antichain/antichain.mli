@@ -14,9 +14,11 @@ val of_nodes : Mps_dfg.Reachability.t -> int list -> t
 (** @raise Invalid_argument if the nodes are not pairwise parallelizable or
     contain duplicates (the empty antichain is allowed). *)
 
-val of_nodes_unchecked : int list -> t
-(** Trusts the caller (used by the enumerator, which constructs antichains
-    by refinement and cannot produce invalid ones).  Sorts the ids. *)
+val of_sorted_prefix : int array -> int -> t
+(** [of_sorted_prefix nodes len] is the antichain of [nodes.(0 .. len-1)],
+    trusting the caller that they are strictly increasing and pairwise
+    parallelizable — the enumerator's chosen-node stack is both by
+    construction. *)
 
 val nodes : t -> int list
 val size : t -> int

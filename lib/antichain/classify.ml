@@ -44,26 +44,125 @@ let slot_of part id =
   end;
   i
 
-let classify_into ~graph ~n ~keep_antichains part a =
-  part.p_total <- part.p_total + 1;
-  let p = Antichain.pattern graph a in
-  let i = slot_of part (Universe.intern part.p_universe p) in
-  let e =
-    match part.p_slots.(i) with
-    | Some e -> e
-    | None ->
-        let e = { count = 0; freq = Array.make n 0; kept = [] } in
-        part.p_slots.(i) <- Some e;
-        e
+let slot_entry part ~n id =
+  let i = slot_of part id in
+  match part.p_slots.(i) with
+  | Some e -> e
+  | None ->
+      let e = { count = 0; freq = Array.make n 0; kept = [] } in
+      part.p_slots.(i) <- Some e;
+      e
+
+(* The pattern of every antichain the walk visits is the pattern of its
+   parent (the antichain minus its last node) plus one color, so the
+   classifier carries a pattern state down the walk instead of building a
+   pattern per antichain.  States are numbered per call (0 = the empty
+   pattern, the roots' parent) and [trans] maps (state, dense color index)
+   to the child state, -1 until first seen; each state owns the entry of
+   one universe id.  A hit costs one array load; a miss — once per
+   (state, color) pair — builds the pattern from the antichain's colors in
+   node order, exactly as [Antichain.pattern] does (a [Pattern.t] is a map
+   whose shape depends on insertion order, and stored patterns are
+   compared structurally downstream), and interns it.  Every new universe
+   id therefore still appears at its pattern's first visit. *)
+type tracker = {
+  part : partial;
+  n : int;
+  tr_graph : Dfg.t;
+  color_index : int array; (* node -> dense color index *)
+  ncolors : int;
+  mutable trans : int array; (* state * ncolors + color -> state *)
+  mutable entries : entry array; (* state -> entry; slot 0 unused *)
+  mutable nstates : int;
+  state_of_id : (int, int) Hashtbl.t; (* universe id -> state *)
+  states : int array; (* per depth: state of chosen.(0 .. depth) *)
+}
+
+let no_entry = { count = 0; freq = [||]; kept = [] }
+
+let tracker graph ~capacity part =
+  let n = Dfg.node_count graph in
+  let dense = Array.make 256 (-1) and ncolors = ref 0 in
+  let color_index =
+    Array.init n (fun i ->
+        let c = Char.code (Mps_dfg.Color.to_char (Dfg.color graph i)) in
+        if dense.(c) < 0 then begin
+          dense.(c) <- !ncolors;
+          incr ncolors
+        end;
+        dense.(c))
   in
-  e.count <- e.count + 1;
-  List.iter (fun i -> e.freq.(i) <- e.freq.(i) + 1) (Antichain.nodes a);
-  if keep_antichains then e.kept <- a :: e.kept
+  let ncolors = max 1 !ncolors in
+  {
+    part;
+    n;
+    tr_graph = graph;
+    color_index;
+    ncolors;
+    trans = Array.make (16 * ncolors) (-1);
+    entries = Array.make 16 no_entry;
+    nstates = 1;
+    state_of_id = Hashtbl.create 16;
+    states = Array.make (max 1 (min capacity n)) 0;
+  }
+
+let state_of_pattern t p =
+  let id = Universe.intern t.part.p_universe p in
+  match Hashtbl.find_opt t.state_of_id (Id.to_int id) with
+  | Some s -> s
+  | None ->
+      let s = t.nstates in
+      if s = Array.length t.entries then begin
+        let entries = Array.make (2 * s) no_entry in
+        Array.blit t.entries 0 entries 0 s;
+        t.entries <- entries;
+        let trans = Array.make (2 * s * t.ncolors) (-1) in
+        Array.blit t.trans 0 trans 0 (s * t.ncolors);
+        t.trans <- trans
+      end;
+      t.entries.(s) <- slot_entry t.part ~n:t.n id;
+      t.nstates <- s + 1;
+      Hashtbl.add t.state_of_id (Id.to_int id) s;
+      s
+
+(* The walk's visitor: classifies the antichain [chosen.(0 .. depth)].
+   Unchecked accesses are in bounds by construction: [depth] is below the
+   walker's depth, nodes are ids of the graph, and [trans]/[entries] cover
+   every state handed out. *)
+let visitor ~keep_antichains t w =
+  let chosen = Enumerate.chosen w and states = t.states in
+  let ncolors = t.ncolors and color_index = t.color_index in
+  fun depth node _span ->
+    let k =
+      ((if depth = 0 then 0 else Array.unsafe_get states (depth - 1)) * ncolors)
+      + Array.unsafe_get color_index node
+    in
+    let s = Array.unsafe_get t.trans k in
+    let s =
+      if s >= 0 then s
+      else begin
+        let a = Antichain.of_sorted_prefix chosen (depth + 1) in
+        let s = state_of_pattern t (Antichain.pattern t.tr_graph a) in
+        t.trans.(k) <- s;
+        s
+      end
+    in
+    Array.unsafe_set states depth s;
+    let e = Array.unsafe_get t.entries s in
+    e.count <- e.count + 1;
+    let freq = e.freq in
+    for d = 0 to depth do
+      let v = Array.unsafe_get chosen d in
+      Array.unsafe_set freq v (Array.unsafe_get freq v + 1)
+    done;
+    t.part.p_total <- t.part.p_total + 1;
+    if keep_antichains then
+      e.kept <- Antichain.of_sorted_prefix chosen (depth + 1) :: e.kept
 
 (* Merge [later] into [earlier].  [later]'s universe is folded into
-   [earlier]'s in id (= first-visit) order, so merging per-root partials in
+   [earlier]'s in id (= first-visit) order, so merging root-range partials in
    root submission order reproduces exactly the ids the sequential walk
-   would have allocated.  [kept] lists are reversed, so the later root's
+   would have allocated.  [kept] lists are reversed, so the later range's
    antichains are prepended — re-reversal then yields exactly the
    sequential enumeration order. *)
 let merge_partials earlier later =
@@ -92,6 +191,12 @@ exception Over_budget
    atomic traffic (one RMW per block) and the overshoot past the budget
    (at most one block per domain). *)
 let budget_flush_block = 1024
+
+(* The parallel walk's tasks are this many contiguous root ranges, not
+   single roots: each task pays for a scratch universe, a frequency vector
+   of every pattern it meets and their merge, which outweighs the walk of
+   a small subtree.  Ranges are merged in root order like single roots. *)
+let parallel_chunks = 32
 
 (* The common landing of every accumulation path (sequential, domain
    pool, process buckets): a merged master-universe partial becomes the
@@ -137,11 +242,10 @@ let compute ?pool ?universe ?span_limit ?budget ?(keep_antichains = false)
   let universe = match universe with Some u -> u | None -> Universe.create () in
   let sequential () =
     let part = fresh_partial universe in
+    let w = Enumerate.walker ?span_limit ?budget ~max_size:capacity ctx in
+    let visit = visitor ~keep_antichains (tracker graph ~capacity part) w in
     let truncated =
-      match
-        Enumerate.iter ?span_limit ?budget ~max_size:capacity ctx
-          ~f:(classify_into ~graph ~n ~keep_antichains part)
-      with
+      match Enumerate.walk w ~visit with
       | () -> false
       | exception Enumerate.Budget_exhausted -> true
     in
@@ -172,33 +276,41 @@ let compute ?pool ?universe ?span_limit ?budget ?(keep_antichains = false)
       | None -> None
       | Some b -> Some (b, Atomic.make 0, Atomic.make false)
     in
-    let task root =
+    let task (lo, hi) =
       let part = fresh_partial (Universe.create ()) in
-      let local = ref 0 in
-      let publish () =
-        match shared_budget with
-        | None -> ()
-        | Some (b, published, aborted) ->
+      let w = Enumerate.walker ?span_limit ~max_size:capacity ctx in
+      let classify = visitor ~keep_antichains (tracker graph ~capacity part) w in
+      (match shared_budget with
+      | None ->
+          for root = lo to hi - 1 do
+            Enumerate.walk_root w ~visit:classify root
+          done
+      | Some (b, published, aborted) ->
+          let local = ref 0 in
+          let publish () =
             if Atomic.fetch_and_add published !local + !local > b then begin
               Atomic.set aborted true;
               raise Over_budget
             end;
             local := 0
-      in
-      Enumerate.iter_root ?span_limit ~max_size:capacity ctx root ~f:(fun a ->
-          (match shared_budget with
-          | Some (_, _, aborted) when Atomic.get aborted -> raise Over_budget
-          | _ -> ());
-          classify_into ~graph ~n ~keep_antichains part a;
-          incr local;
-          if !local >= budget_flush_block then publish ());
-      if !local > 0 then publish ();
+          in
+          let visit depth node span =
+            if Atomic.get aborted then raise Over_budget;
+            classify depth node span;
+            incr local;
+            if !local >= budget_flush_block then publish ()
+          in
+          for root = lo to hi - 1 do
+            Enumerate.walk_root w ~visit root
+          done;
+          if !local > 0 then publish ());
       part
     in
     match
       Pool.map_reduce pool ~map:task ~reduce:merge_partials
         ~init:(fresh_partial (Universe.create ()))
-        (List.init n Fun.id)
+        (let k = min n parallel_chunks in
+         List.init k (fun i -> (i * n / k, (i + 1) * n / k)))
     with
     | scratch -> (merge_partials (fresh_partial universe) scratch, false)
     | exception Over_budget -> sequential ()
@@ -235,15 +347,14 @@ let bucket_roots ?span_limit ?budget ~capacity ctx ~lo ~hi =
   if lo < 0 || hi > n || lo > hi then
     invalid_arg "Classify.bucket_roots: bad root range";
   let part = fresh_partial (Universe.create ()) in
-  let cap = match budget with None -> max_int | Some b -> b in
+  let w = Enumerate.walker ?span_limit ?budget ~max_size:capacity ctx in
+  let visit = visitor ~keep_antichains:false (tracker graph ~capacity part) w in
   match
     for root = lo to hi - 1 do
-      Enumerate.iter_root ?span_limit ~max_size:capacity ctx root ~f:(fun a ->
-          if part.p_total >= cap then raise Over_budget;
-          classify_into ~graph ~n ~keep_antichains:false part a)
+      Enumerate.walk_root w ~visit root
     done
   with
-  | exception Over_budget -> None
+  | exception Enumerate.Budget_exhausted -> None
   | () ->
       let entries =
         Universe.fold
@@ -273,14 +384,8 @@ let of_buckets ?universe ?span_limit ~capacity ctx buckets =
     (fun bk ->
       List.iter
         (fun be ->
-          let i = slot_of part (Universe.intern part.p_universe be.be_pattern) in
           let e =
-            match part.p_slots.(i) with
-            | Some e -> e
-            | None ->
-                let e = { count = 0; freq = Array.make n 0; kept = [] } in
-                part.p_slots.(i) <- Some e;
-                e
+            slot_entry part ~n (Universe.intern part.p_universe be.be_pattern)
           in
           e.count <- e.count + be.be_count;
           List.iter (fun (nd, c) -> e.freq.(nd) <- e.freq.(nd) + c) be.be_freq)
@@ -294,6 +399,7 @@ let graph t = t.graph
 let capacity t = t.capacity
 let span_limit t = t.span_limit
 let universe t = t.universe
+let with_private_universe t = { t with universe = Universe.copy t.universe }
 let ids t = Array.to_list t.order
 let pattern_count t = Array.length t.order
 let patterns t = List.map (Universe.pattern t.universe) (ids t)

@@ -44,9 +44,9 @@ val compute :
     first-visit enumeration order, identically for every [pool] size.
 
     [pool] fans the enumeration's root subtrees out across domains
-    ({!Enumerate.iter_root}); per-root tables intern into per-domain
-    scratch universes, and both tables and universes are merged in root
-    (= submission) order, so the classification — counts, frequency
+    ({!Enumerate.walk_root}), in 32 contiguous root ranges; per-range
+    tables intern into per-task scratch universes, and both tables and
+    universes are merged in root (= submission) order, so the classification — counts, frequency
     vectors, kept-antichain order, total, and universe id assignment — is
     identical to the sequential one.  With a [budget], the parallel walk is
     optimistic: if the enumeration stays within budget the parallel result
@@ -110,6 +110,12 @@ val span_limit : t -> int option
 val universe : t -> Mps_pattern.Universe.t
 (** The interning arena the classification's patterns live in.  Consumers
     run their pattern tests (dominance, color sets, sizes) against it. *)
+
+val with_private_universe : t -> t
+(** The same classification over a {!Mps_pattern.Universe.copy} of its
+    universe.  A universe is single-domain state (interning and the lazily
+    extended dominance matrix mutate it), so code that hands one
+    classification to several domains gives each its own copy. *)
 
 val ids : t -> Mps_pattern.Pattern.Id.t list
 (** Ids of all patterns that have at least one antichain, in the canonical

@@ -9,10 +9,22 @@ type ctx = {
   graph : Dfg.t;
   levels : Levels.t;
   reach : Reachability.t;
+  asap : int array;
+  alap : int array;
+  par : Bitset.t array;
 }
 
 let make_ctx graph =
-  { graph; levels = Levels.compute graph; reach = Reachability.compute graph }
+  let levels = Levels.compute graph and reach = Reachability.compute graph in
+  let n = Dfg.node_count graph in
+  {
+    graph;
+    levels;
+    reach;
+    asap = Array.init n (Levels.asap levels);
+    alap = Array.init n (Levels.alap levels);
+    par = Array.init n (Reachability.parallel_set reach);
+  }
 
 let ctx_graph ctx = ctx.graph
 let ctx_levels ctx = ctx.levels
@@ -29,6 +41,38 @@ let check_args ?span_limit ?budget ~max_size () =
   | Some b when b < 0 -> invalid_arg "Enumerate.iter: negative budget"
   | _ -> ()
 
+(* The walk's whole state, allocated once per call: a depth-indexed stack
+   of candidate bitsets ([stack.(d)] = nodes after [chosen.(d)] parallel
+   with all of [chosen.(0..d)]; level 0 aliases the root's read-only
+   parallel set), the chosen nodes, and the budget left.  A visit writes
+   nothing but stack levels and ints, so the walk itself allocates
+   nothing per antichain. *)
+type walker = {
+  ctx : ctx;
+  max_size : int;
+  limit : int; (* span limit; max_int when unlimited *)
+  stack : Bitset.t array;
+  chosen : int array;
+  mutable remaining : int;
+}
+
+let walker ?span_limit ?budget ~max_size ctx =
+  check_args ?span_limit ?budget ~max_size ();
+  let n = Dfg.node_count ctx.graph in
+  (* No antichain has more nodes than the graph. *)
+  let depth = max 1 (min max_size n) in
+  {
+    ctx;
+    max_size;
+    limit = Option.value span_limit ~default:max_int;
+    stack =
+      Array.init depth (fun d -> if d = 0 then Bitset.create 0 else Bitset.create n);
+    chosen = Array.make depth 0;
+    remaining = Option.value budget ~default:max_int;
+  }
+
+let chosen w = w.chosen
+
 (* The span of a growing set is tracked incrementally: adding a node can only
    raise max(ASAP) and lower min(ALAP), so span never shrinks along a branch
    and a limit violation prunes the whole subtree.
@@ -36,80 +80,75 @@ let check_args ?span_limit ?budget ~max_size () =
    [walk_root] visits every antichain whose smallest node id is [root]: the
    root subtrees partition the enumeration, which is what both the
    sequential loop and the domain-parallel fan-out are built on. *)
-let walk_root ?span_limit ~max_size ctx ~f root =
-  let lv = ctx.levels in
-  let within_limit span =
-    match span_limit with None -> true | Some l -> span <= l
-  in
+let walk_root w ~visit root =
+  if root < 0 || root >= Dfg.node_count w.ctx.graph then
+    invalid_arg "Enumerate.walk_root: root out of range";
+  let { asap; alap; par; _ } = w.ctx in
+  let { stack; chosen; limit; max_size; _ } = w in
   (* Span-limit subtree prunes, reported as one counter increment per root
      walk so the enumeration's pruning behaviour shows up in [--stats]
      without any per-antichain instrumentation cost.  Summed per root, the
      total is identical however the roots are spread over domains. *)
   let pruned = ref 0 in
-  (* chosen is kept reversed; emitted antichains are re-reversed, hence
-     increasing. *)
-  let rec extend chosen size compat max_asap min_alap last ~span =
-    match Bitset.first_from compat (last + 1) with
-    | None -> ()
-    | Some j ->
-        let asap_j = Levels.asap lv j and alap_j = Levels.alap lv j in
-        let max_asap' = max max_asap asap_j in
-        let min_alap' = min min_alap alap_j in
-        let span' = max 0 (max_asap' - min_alap') in
-        if within_limit span' then begin
-          let chosen' = j :: chosen in
-          f ~span:span' (List.rev chosen');
-          if size + 1 < max_size then begin
-            let compat' = Bitset.copy compat in
-            Bitset.inter_into ~dst:compat' (Reachability.parallel_set ctx.reach j);
-            extend chosen' (size + 1) compat' max_asap' min_alap' j ~span:span'
-          end
-        end
-        else incr pruned;
-        (* Continue with the next candidate at this depth whether or not j
-           survived the span check: a later node may have milder levels. *)
-        extend chosen size compat max_asap min_alap j ~span
+  let emit depth j span =
+    if w.remaining = 0 then raise Budget_exhausted;
+    w.remaining <- w.remaining - 1;
+    Array.unsafe_set chosen depth j;
+    visit depth j span
   in
-  f ~span:0 [ root ];
-  if max_size > 1 then
-    extend [ root ] 1
-      (Bitset.copy (Reachability.parallel_set ctx.reach root))
-      (Levels.asap lv root) (Levels.alap lv root) root ~span:0;
+  (* The unchecked accesses below stay in bounds by construction: node ids
+     come from bitsets over [0, n), and depth + 1 < min max_size n
+     whenever a node is chosen at depth + 1. *)
+  let rec extend depth max_asap min_alap =
+    let compat = Array.unsafe_get stack depth in
+    let j = ref (Bitset.next_from compat (Array.unsafe_get chosen depth + 1)) in
+    while !j >= 0 do
+      let jj = !j in
+      let max_asap' = Int.max max_asap (Array.unsafe_get asap jj) in
+      let min_alap' = Int.min min_alap (Array.unsafe_get alap jj) in
+      let span = Int.max 0 (max_asap' - min_alap') in
+      if span <= limit then begin
+        emit (depth + 1) jj span;
+        if depth + 2 < max_size then begin
+          Bitset.inter_of
+            ~dst:(Array.unsafe_get stack (depth + 1))
+            compat (Array.unsafe_get par jj);
+          extend (depth + 1) max_asap' min_alap'
+        end
+      end
+      else incr pruned;
+      (* Continue with the next candidate at this depth whether or not jj
+         survived the span check: a later node may have milder levels. *)
+      j := Bitset.next_from compat (jj + 1)
+    done
+  in
+  emit 0 root 0;
+  if max_size > 1 then begin
+    stack.(0) <- par.(root);
+    extend 0 asap.(root) alap.(root)
+  end;
   if !pruned > 0 then Obs.count "enumerate.pruned" !pruned
 
-let iter_spanned ?span_limit ?budget ~max_size ctx ~f =
-  check_args ?span_limit ?budget ~max_size ();
-  let remaining = ref (Option.value budget ~default:max_int) in
-  let f ~span nodes =
-    if !remaining = 0 then raise Budget_exhausted;
-    decr remaining;
-    f ~span nodes
-  in
-  for root = 0 to Dfg.node_count ctx.graph - 1 do
-    walk_root ?span_limit ~max_size ctx ~f root
+let walk w ~visit =
+  for root = 0 to Dfg.node_count w.ctx.graph - 1 do
+    walk_root w ~visit root
   done
 
+let antichain w depth = Antichain.of_sorted_prefix w.chosen (depth + 1)
+
 let iter ?span_limit ?budget ~max_size ctx ~f =
-  iter_spanned ?span_limit ?budget ~max_size ctx ~f:(fun ~span:_ nodes ->
-      f (Antichain.of_nodes_unchecked nodes))
+  let w = walker ?span_limit ?budget ~max_size ctx in
+  walk w ~visit:(fun depth _ _ -> f (antichain w depth))
 
 let count_roots ?span_limit ~max_size ctx ~lo ~hi =
-  check_args ?span_limit ~max_size ();
-  let n = Dfg.node_count ctx.graph in
-  if lo < 0 || hi > n || lo > hi then
+  let w = walker ?span_limit ~max_size ctx in
+  if lo < 0 || hi > Dfg.node_count ctx.graph || lo > hi then
     invalid_arg "Enumerate.count_roots: bad root range";
   let c = ref 0 in
   for root = lo to hi - 1 do
-    walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ _ -> incr c)
+    walk_root w root ~visit:(fun _ _ _ -> incr c)
   done;
   !c
-
-let iter_root ?span_limit ~max_size ctx ~f root =
-  check_args ?span_limit ~max_size ();
-  if root < 0 || root >= Dfg.node_count ctx.graph then
-    invalid_arg "Enumerate.iter_root: root out of range";
-  walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
-      f (Antichain.of_nodes_unchecked nodes))
 
 (* --- domain-parallel fan-out ----------------------------------------- *)
 
@@ -125,88 +164,77 @@ let use_pool = function
   | Some p when Pool.jobs p > 1 -> Some p
   | _ -> None
 
-let map_roots pool ?span_limit ~max_size ctx task =
+(* One pool task per root, each on its own walker (walkers are mutable
+   scratch, so domains never share one); [visit w] is the task's visitor. *)
+let map_roots pool ?span_limit ~max_size ctx ~init ~visit =
   Pool.map pool
-    ~f:(fun root -> task ?span_limit ~max_size ctx root)
+    ~f:(fun root ->
+      let w = walker ?span_limit ~max_size ctx in
+      let acc = init () in
+      walk_root w ~visit:(visit w acc) root;
+      acc)
     (List.init (Dfg.node_count ctx.graph) Fun.id)
+
+(* The sequential form of the same accumulation: one walker, every root. *)
+let walk_all ?span_limit ~max_size ctx ~acc ~visit =
+  let w = walker ?span_limit ~max_size ctx in
+  walk w ~visit:(visit w acc);
+  acc
 
 let all ?pool ?span_limit ~max_size ctx =
   check_args ?span_limit ~max_size ();
   Obs.span "enumerate" @@ fun () ->
+  let visit w acc depth _ _ = acc := antichain w depth :: !acc in
   match use_pool pool with
   | Some pool ->
-      let root_all ?span_limit ~max_size ctx root =
-        let acc = ref [] in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
-            acc := Antichain.of_nodes_unchecked nodes :: !acc);
-        List.rev !acc
-      in
-      List.concat (map_roots pool ?span_limit ~max_size ctx root_all)
-  | None ->
-      let acc = ref [] in
-      iter ?span_limit ~max_size ctx ~f:(fun a -> acc := a :: !acc);
-      List.rev !acc
+      List.concat_map
+        (fun acc -> List.rev !acc)
+        (map_roots pool ?span_limit ~max_size ctx ~init:(fun () -> ref []) ~visit)
+  | None -> List.rev !(walk_all ?span_limit ~max_size ctx ~acc:(ref []) ~visit)
 
 let count ?pool ?span_limit ~max_size ctx =
   check_args ?span_limit ~max_size ();
   Obs.span "enumerate" @@ fun () ->
+  let visit _ c _ _ _ = incr c in
   match use_pool pool with
   | Some pool ->
-      let root_count ?span_limit ~max_size ctx root =
-        let c = ref 0 in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ _ -> incr c);
-        !c
-      in
-      List.fold_left ( + ) 0 (map_roots pool ?span_limit ~max_size ctx root_count)
-  | None ->
-      let c = ref 0 in
-      iter_spanned ?span_limit ~max_size ctx ~f:(fun ~span:_ _ -> incr c);
-      !c
+      List.fold_left
+        (fun acc c -> acc + !c)
+        0
+        (map_roots pool ?span_limit ~max_size ctx ~init:(fun () -> ref 0) ~visit)
+  | None -> !(walk_all ?span_limit ~max_size ctx ~acc:(ref 0) ~visit)
 
 let count_by_size ?pool ?span_limit ~max_size ctx =
   check_args ?span_limit ~max_size ();
   Obs.span "enumerate" @@ fun () ->
-  let counts = Array.make (max_size + 1) 0 in
-  (match use_pool pool with
+  let init () = Array.make (max_size + 1) 0 in
+  let visit _ counts depth _ _ = counts.(depth + 1) <- counts.(depth + 1) + 1 in
+  match use_pool pool with
   | Some pool ->
-      let root_counts ?span_limit ~max_size ctx root =
-        let counts = Array.make (max_size + 1) 0 in
-        walk_root ?span_limit ~max_size ctx root ~f:(fun ~span:_ nodes ->
-            let s = List.length nodes in
-            counts.(s) <- counts.(s) + 1);
-        counts
-      in
+      let counts = init () in
       List.iter
         (Array.iteri (fun s c -> counts.(s) <- counts.(s) + c))
-        (map_roots pool ?span_limit ~max_size ctx root_counts)
-  | None ->
-      iter_spanned ?span_limit ~max_size ctx ~f:(fun ~span:_ nodes ->
-          let s = List.length nodes in
-          counts.(s) <- counts.(s) + 1));
-  counts
+        (map_roots pool ?span_limit ~max_size ctx ~init ~visit);
+      counts
+  | None -> walk_all ?span_limit ~max_size ctx ~acc:(init ()) ~visit
 
 let count_matrix ?pool ~max_size ~max_span ctx =
   check_args ~span_limit:max_span ~max_size ();
   Obs.span "enumerate" @@ fun () ->
-  let exact = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
-  (match use_pool pool with
-  | Some pool ->
-      let root_matrix ?span_limit ~max_size ctx root =
-        let span_limit = Option.value span_limit ~default:max_span in
-        let m = Array.make_matrix (span_limit + 1) (max_size + 1) 0 in
-        walk_root ~span_limit ~max_size ctx root ~f:(fun ~span nodes ->
-            let s = List.length nodes in
-            m.(span).(s) <- m.(span).(s) + 1);
-        m
-      in
-      List.iter
-        (Array.iteri (fun l ->
-             Array.iteri (fun s c -> exact.(l).(s) <- exact.(l).(s) + c)))
-        (map_roots pool ~span_limit:max_span ~max_size ctx root_matrix)
-  | None ->
-      iter_spanned ~span_limit:max_span ~max_size ctx ~f:(fun ~span nodes ->
-          let s = List.length nodes in
-          exact.(span).(s) <- exact.(span).(s) + 1));
+  let span_limit = max_span in
+  let init () = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
+  let visit _ m depth _ span = m.(span).(depth + 1) <- m.(span).(depth + 1) + 1 in
+  let exact =
+    match use_pool pool with
+    | Some pool ->
+        let exact = init () in
+        List.iter
+          (Array.iteri (fun l ->
+               Array.iteri (fun s c -> exact.(l).(s) <- exact.(l).(s) + c)))
+          (map_roots pool ~span_limit ~max_size ctx ~init ~visit);
+        exact
+    | None -> walk_all ~span_limit ~max_size ctx ~acc:(init ()) ~visit
+  in
   (* Prefix-sum over span so row l counts span <= l. *)
   let m = Array.make_matrix (max_span + 1) (max_size + 1) 0 in
   for l = 0 to max_span do

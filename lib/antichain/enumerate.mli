@@ -36,6 +36,51 @@ exception Budget_exhausted
     points ({!Classify.compute}) surface the truncation as a flag
     instead. *)
 
+(** {1 The walk}
+
+    Every entry point below, and {!Classify}, runs this one depth-first
+    walk.  It visits the antichains rooted at one node id in lexicographic
+    order of their id lists and allocates nothing per antichain: the
+    candidate sets live in a preallocated per-depth bitset stack and the
+    chosen nodes in an int stack that the visitor reads. *)
+
+type walker
+(** Mutable scratch for one caller on one domain: never share a walker
+    between domains. *)
+
+val walker : ?span_limit:int -> ?budget:int -> max_size:int -> ctx -> walker
+(** A walker for antichains of size ≤ [max_size] with span ≤ [span_limit]
+    (default unlimited).  [budget] bounds the number of antichains all
+    walks on this walker visit together.
+    @raise Invalid_argument if [max_size < 1], [span_limit < 0], or
+    [budget < 0]. *)
+
+val walk_root :
+  walker -> visit:(int -> int -> int -> unit) -> int -> unit
+(** [walk_root w ~visit root] calls [visit depth node span] on every
+    antichain whose minimum node id is [root]: the antichain has
+    [depth + 1] nodes, [node] is its largest (the one just added) and
+    [span] its span.  Its nodes are [(chosen w).(0 .. depth)], valid only
+    during the call.  Running it for every root in order is exactly
+    {!walk}; running the roots on different domains (one walker each) and
+    merging in root order is the parallel enumeration — {!Classify.compute}
+    builds its parallel path on this.  Fires one [enumerate.pruned]
+    counter per root with span-limit prunes, unless the walk is cut short
+    by an exception.
+    @raise Budget_exhausted before the visit that would exceed the budget.
+    @raise Invalid_argument if [root] is out of range. *)
+
+val walk : walker -> visit:(int -> int -> int -> unit) -> unit
+(** {!walk_root} for every root in increasing order: the whole
+    enumeration, in {!iter}'s order. *)
+
+val chosen : walker -> int array
+(** The chosen-node stack: during a visit at [depth], entries
+    [0 .. depth] are the antichain's nodes in increasing order.  Read
+    only; entries beyond [depth] are stale. *)
+
+(** {1 Entry points} *)
+
 val iter :
   ?span_limit:int ->
   ?budget:int ->
@@ -51,20 +96,6 @@ val iter :
     @raise Budget_exhausted after emitting [budget] antichains.
     @raise Invalid_argument if [max_size < 1], [span_limit < 0], or
     [budget < 0]. *)
-
-val iter_root :
-  ?span_limit:int ->
-  max_size:int ->
-  ctx ->
-  f:(Antichain.t -> unit) ->
-  int ->
-  unit
-(** [iter_root ... root] visits only the antichains whose minimum node id
-    is [root], in the same relative order [iter] would.  Running it for
-    every node id in order is exactly [iter]; running the roots on
-    different domains and merging in root order is the parallel
-    enumeration — {!Classify.compute} builds its parallel path on this.
-    @raise Invalid_argument on bad limits or if [root] is out of range. *)
 
 val count_roots :
   ?span_limit:int -> max_size:int -> ctx -> lo:int -> hi:int -> int

@@ -14,6 +14,14 @@
     matching the paper's |p̄| (e.g. |{aa}| = 2 in the §5.2 example). *)
 
 type t
+(** A multiset stored as a balanced map from color to multiplicity.  The
+    map's internal tree shape depends on the order the colors were
+    inserted in, so two equal bags built in different orders can differ
+    under the polymorphic [=] and [compare]: test bags with {!equal} and
+    {!compare}.  Code that stores patterns and is compared structurally
+    (the classification's universe, say) must build each pattern the same
+    way every time, e.g. always with {!of_antichain_colors} over nodes in
+    increasing id order. *)
 
 val empty : t
 

@@ -41,6 +41,17 @@ let create ?(expected = 64) () =
 
 let cardinal u = u.n
 
+let copy u =
+  {
+    u with
+    index = Index.copy u.index;
+    pats = Array.copy u.pats;
+    strs = Array.copy u.strs;
+    sizes = Array.copy u.sizes;
+    csets = Array.copy u.csets;
+    matrix = Array.copy u.matrix;
+  }
+
 let grow_to arr len fill =
   let a = Array.make len fill in
   Array.blit arr 0 a 0 (Array.length arr);

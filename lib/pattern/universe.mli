@@ -37,6 +37,12 @@ val cardinal : t -> int
 (** Number of distinct patterns interned so far.  Ids [0 .. cardinal-1] are
     live. *)
 
+val copy : t -> t
+(** An independent universe with the same ids, patterns, memoized facts and
+    dominance matrix.  Interning into or querying the copy never touches
+    the original: this is how one arena is handed to several domains at
+    once, one copy each. *)
+
 val intern : t -> Pattern.t -> Pattern.Id.t
 (** The id of the pattern, allocating the next dense id on first sight.
     Injective: two patterns receive the same id iff they are [Pattern.equal]. *)

@@ -97,7 +97,7 @@ let of_produced classify produced =
 let run ?pool ?beam_width ?annealing ~pdef classify =
   if pdef < 1 then invalid_arg "Portfolio.run: pdef must be >= 1";
   Obs.span "portfolio" @@ fun () ->
-  let tasks : (unit -> string * Pattern.t list * int option) list =
+  let tasks_for classify : (unit -> string * Pattern.t list * int option) list =
     List.map
       (fun (name, thunk) ->
         fun () ->
@@ -114,10 +114,19 @@ let run ?pool ?beam_width ?annealing ~pdef classify =
             ("annealing", a.Annealing.patterns, Some a.Annealing.cycles));
         ]
   in
+  let tasks = tasks_for classify in
   Obs.count "portfolio.strategies" (List.length tasks);
   let produced =
     match pool with
-    | Some pool -> Pool.map pool ~f:(fun task -> task ()) tasks
+    | Some pool ->
+        (* Strategies intern into and query their classification's
+           universe, which is single-domain state, so on a pool task i
+           runs on its own copy.  Results are pattern sets, never ids, so
+           the copies change nothing the ranking sees. *)
+        let own i _ =
+          List.nth (tasks_for (Classify.with_private_universe classify)) i
+        in
+        Pool.map pool ~f:(fun task -> task ()) (List.mapi own tasks)
     | None -> List.map (fun task -> task ()) tasks
   in
   of_produced classify produced

@@ -63,6 +63,14 @@ let inter_into ~dst src =
     dst.words.(i) <- dst.words.(i) land src.words.(i)
   done
 
+let inter_of ~dst a b =
+  same_universe dst a;
+  same_universe dst b;
+  for i = 0 to Array.length dst.words - 1 do
+    Array.unsafe_set dst.words i
+      (Array.unsafe_get a.words i land Array.unsafe_get b.words i)
+  done
+
 let union_into ~dst src =
   same_universe dst src;
   for i = 0 to Array.length dst.words - 1 do
@@ -98,31 +106,38 @@ let subset a b =
   done;
   !ok
 
+(* Index of the least significant set bit of a nonzero word, by halving:
+   six masks and shifts, no loop over single bits. *)
 let lowest_bit w =
-  (* Index of the least significant set bit of a nonzero word. *)
-  let rec go w i = if w land 1 = 1 then i else go (w lsr 1) (i + 1) in
-  go w 0
+  let w = ref (w land -w) and i = ref 0 in
+  if !w land 0xFFFFFFFF = 0 then begin w := !w lsr 32; i := 32 end;
+  if !w land 0xFFFF = 0 then begin w := !w lsr 16; i := !i + 16 end;
+  if !w land 0xFF = 0 then begin w := !w lsr 8; i := !i + 8 end;
+  if !w land 0xF = 0 then begin w := !w lsr 4; i := !i + 4 end;
+  if !w land 0x3 = 0 then begin w := !w lsr 2; i := !i + 2 end;
+  if !w land 0x1 = 0 then !i + 1 else !i
 
-let first_from t i =
-  if i >= t.universe then None
+let next_from t i =
+  if i >= t.universe then -1
   else begin
-    let i = max i 0 in
-    let rec scan_word wi carry_mask =
-      if wi >= Array.length t.words then None
-      else
-        let w = t.words.(wi) land carry_mask in
-        if w <> 0 then Some ((wi * word_bits) + lowest_bit w)
-        else scan_word (wi + 1) (-1)
-    in
-    let wi = i / word_bits in
-    scan_word wi (-1 lsl (i mod word_bits))
+    let i = if i < 0 then 0 else i in
+    let nwords = Array.length t.words in
+    let wi = ref (i / word_bits) in
+    let w = ref (Array.unsafe_get t.words !wi land (-1 lsl (i mod word_bits))) in
+    while !w = 0 && !wi < nwords - 1 do
+      incr wi;
+      w := Array.unsafe_get t.words !wi
+    done;
+    if !w = 0 then -1 else (!wi * word_bits) + lowest_bit !w
   end
+
+let first_from t i = match next_from t i with -1 -> None | j -> Some j
 
 let iter f t =
   let rec go i =
-    match first_from t i with
-    | None -> ()
-    | Some j ->
+    match next_from t i with
+    | -1 -> ()
+    | j ->
         f j;
         go (j + 1)
   in

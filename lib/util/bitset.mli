@@ -39,6 +39,11 @@ val inter_into : dst:t -> t -> unit
 (** [inter_into ~dst src] replaces [dst] with [dst ∩ src].
     @raise Invalid_argument on universe mismatch (as for all binary ops). *)
 
+val inter_of : dst:t -> t -> t -> unit
+(** [inter_of ~dst a b] overwrites [dst] with [a ∩ b], allocating nothing:
+    the antichain walk fills one preallocated level of its candidate stack
+    this way per extension.  [dst] may be [a] or [b]. *)
+
 val union_into : dst:t -> t -> unit
 val diff_into : dst:t -> t -> unit
 
@@ -54,10 +59,13 @@ val iter : (int -> unit) -> t -> unit
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 
+val next_from : t -> int -> int
+(** [next_from t i] is the smallest member ≥ [i], or [-1] if there is none.
+    Allocates nothing and skips empty words whole: the enumerator walks its
+    candidates in increasing order with it. *)
+
 val first_from : t -> int -> int option
-(** [first_from t i] is the smallest member ≥ [i], if any.  The enumerator
-    uses it to walk candidates in increasing order without scanning bits one
-    by one. *)
+(** [first_from t i] is {!next_from} as an option: [None] for [-1]. *)
 
 val of_list : int -> int list -> t
 (** [of_list universe elems]. *)

@@ -1,6 +1,7 @@
 (* Antichain engine: Table 4 (patterns and antichains of the Fig. 4 graph),
-   Table 6 (node frequencies), Theorem 1, and enumeration completeness
-   against a brute-force reference on random DAGs. *)
+   Table 6 (node frequencies), Theorem 1, enumeration completeness against
+   a brute-force reference on random DAGs, and the fused classification
+   walk against a list-building reference classifier. *)
 
 module Color = Mps_dfg.Color
 module Dfg = Mps_dfg.Dfg
@@ -14,6 +15,10 @@ module Schedule = Mps_scheduler.Schedule
 module Mp = Mps_scheduler.Multi_pattern
 module Random_dag = Mps_workloads.Random_dag
 module Pg = Mps_workloads.Paper_graphs
+module Bitset = Mps_util.Bitset
+module Universe = Mps_pattern.Universe
+module Obs = Mps_obs.Obs
+module Pool = Mps_exec.Pool
 
 let qtest ?(count = 40) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -237,6 +242,223 @@ let enum_props =
         freq_total = !size_total);
   ]
 
+(* --- differential oracle: the list-building reference classifier ---
+
+   The straightforward walk: a fresh candidate bitset per extension, one
+   node list, one validated [Antichain.t] and one [Pattern.t] per
+   antichain, interned into a universe and counted in an id-keyed table.
+   [Classify.compute] must agree with it on everything observable: the
+   universe's id order and stored patterns (under polymorphic [=], which
+   sees a pattern map's tree shape), counts, frequency vectors, kept
+   antichains, totals, truncation, and the [enumerate.pruned] counter. *)
+
+type reference = {
+  r_universe : Universe.t;
+  r_entries : (int, int ref * int array * int list list ref) Hashtbl.t;
+  r_order : int list list; (* every visited antichain, in visit order *)
+  r_total : int;
+  r_truncated : bool;
+  r_pruned : int * int; (* samples, total *)
+}
+
+let reference ?span_limit ?budget ~capacity g =
+  let lv = Levels.compute g and r = Reachability.compute g in
+  let n = Dfg.node_count g in
+  let u = Universe.create () and entries = Hashtbl.create 16 in
+  let order = ref [] and total = ref 0 in
+  let remaining = ref (Option.value budget ~default:max_int) in
+  let within span = match span_limit with None -> true | Some l -> span <= l in
+  let visit chosen =
+    if !remaining = 0 then raise Exit;
+    decr remaining;
+    let nodes = List.rev chosen in
+    let a = Antichain.of_nodes r nodes in
+    let id = Pattern.Id.to_int (Universe.intern u (Antichain.pattern g a)) in
+    let count, freq, kept =
+      match Hashtbl.find_opt entries id with
+      | Some e -> e
+      | None ->
+          let e = (ref 0, Array.make n 0, ref []) in
+          Hashtbl.add entries id e;
+          e
+    in
+    incr count;
+    List.iter (fun v -> freq.(v) <- freq.(v) + 1) nodes;
+    kept := nodes :: !kept;
+    order := nodes :: !order;
+    incr total
+  in
+  let rec extend pruned chosen size compat max_asap min_alap last =
+    match Bitset.first_from compat (last + 1) with
+    | None -> ()
+    | Some j ->
+        let max_asap' = max max_asap (Levels.asap lv j) in
+        let min_alap' = min min_alap (Levels.alap lv j) in
+        let span = max 0 (max_asap' - min_alap') in
+        if within span then begin
+          visit (j :: chosen);
+          if size + 1 < capacity then begin
+            let compat' = Bitset.copy compat in
+            Bitset.inter_into ~dst:compat' (Reachability.parallel_set r j);
+            extend pruned (j :: chosen) (size + 1) compat' max_asap' min_alap' j
+          end
+        end
+        else incr pruned;
+        extend pruned chosen size compat max_asap min_alap j
+  in
+  let samples = ref 0 and pruned_total = ref 0 in
+  let truncated =
+    try
+      for root = 0 to n - 1 do
+        let pruned = ref 0 in
+        visit [ root ];
+        if capacity > 1 then
+          extend pruned [ root ] 1
+            (Bitset.copy (Reachability.parallel_set r root))
+            (Levels.asap lv root) (Levels.alap lv root) root;
+        if !pruned > 0 then begin
+          incr samples;
+          pruned_total := !pruned_total + !pruned
+        end
+      done;
+      false
+    with Exit -> true
+  in
+  {
+    r_universe = u;
+    r_entries = entries;
+    r_order = List.rev !order;
+    r_total = !total;
+    r_truncated = truncated;
+    r_pruned = (!samples, !pruned_total);
+  }
+
+let pruned_counter obs =
+  match
+    List.find_opt (fun c -> c.Obs.name = "enumerate.pruned") (Obs.counters obs)
+  with
+  | Some c -> (c.Obs.samples, c.Obs.total)
+  | None -> (0, 0)
+
+let universe_listing u = Universe.fold (fun id p acc -> (id, p) :: acc) u [] |> List.rev
+
+(* [cls] against [ref_]: [Error] names the first disagreement. *)
+let agree ~kept ref_ cls =
+  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
+  let u = Classify.universe cls in
+  if universe_listing u <> universe_listing ref_.r_universe then
+    fail "universe id order or stored patterns differ"
+  else if Classify.total_antichains cls <> ref_.r_total then
+    fail "total %d <> %d" (Classify.total_antichains cls) ref_.r_total
+  else if Classify.truncated cls <> ref_.r_truncated then fail "truncated differs"
+  else if Classify.pattern_count cls <> Hashtbl.length ref_.r_entries then
+    fail "pattern count differs"
+  else
+    Hashtbl.fold
+      (fun id (count, freq, kept_ref) acc ->
+        match acc with
+        | Error _ -> acc
+        | Ok () ->
+            let p = Universe.pattern u (Pattern.Id.of_int id) in
+            if Classify.count cls p <> !count then fail "count of %s" (Pattern.to_string p)
+            else if Classify.node_frequency cls p <> freq then
+              fail "frequencies of %s" (Pattern.to_string p)
+            else if
+              List.map Antichain.nodes (Classify.antichains cls p)
+              <> if kept then List.rev !kept_ref else []
+            then fail "kept antichains of %s" (Pattern.to_string p)
+            else Ok ())
+      ref_.r_entries (Ok ())
+
+let oracle_case_gen =
+  QCheck2.Gen.(
+    let* seed = 0 -- 100_000 in
+    let* layers = 2 -- 6 in
+    let* width = 1 -- 6 in
+    let* capacity = 1 -- 5 in
+    let* span_limit = oneofl [ Some 0; Some 1; None ] in
+    let* jobs = oneofl [ 1; 2 ] in
+    let* keep = bool in
+    let* budget_frac = opt (float_bound_inclusive 1.2) in
+    return (seed, layers, width, capacity, span_limit, jobs, keep, budget_frac))
+
+let print_oracle_case (seed, layers, width, capacity, span_limit, jobs, keep, budget) =
+  Printf.sprintf "seed=%d layers=%d width=%d C=%d span=%s jobs=%d keep=%b budget=%s"
+    seed layers width capacity
+    (match span_limit with Some l -> string_of_int l | None -> "none")
+    jobs keep
+    (match budget with Some f -> string_of_float f | None -> "none")
+
+let oracle_prop (seed, layers, width, capacity, span_limit, jobs, keep, budget_frac) =
+  let params = { Random_dag.default_params with layers; width } in
+  let g = Random_dag.generate ~params ~seed () in
+  let full = (reference ?span_limit ~capacity g).r_total in
+  (* Budgets from 0 to a bit past the full count: cut mid-walk, exactly at
+     the end, and never. *)
+  let budget =
+    Option.map (fun f -> int_of_float (f *. float_of_int full)) budget_frac
+  in
+  let ref_ = reference ?span_limit ?budget ~capacity g in
+  let obs = Obs.create () in
+  let cls =
+    Obs.run obs (fun () ->
+        Pool.with_pool ~jobs (fun pool ->
+            Classify.compute ~pool ?span_limit ?budget ~keep_antichains:keep
+              ~capacity (Enumerate.make_ctx g)))
+  in
+  (match agree ~kept:keep ref_ cls with
+  | Ok () -> ()
+  | Error e -> QCheck2.Test.fail_reportf "classification: %s" e);
+  if pruned_counter obs <> ref_.r_pruned then
+    QCheck2.Test.fail_reportf "enumerate.pruned (samples, total) differs";
+  true
+
+let oracle_walk_prop (seed, layers, width, capacity, span_limit, jobs, _, budget_frac) =
+  let params = { Random_dag.default_params with layers; width } in
+  let g = Random_dag.generate ~params ~seed () in
+  let ctx = Enumerate.make_ctx g in
+  let ref_ = reference ?span_limit ~capacity g in
+  let listed =
+    Pool.with_pool ~jobs (fun pool ->
+        Enumerate.all ~pool ?span_limit ~max_size:capacity ctx)
+  in
+  if List.map Antichain.nodes listed <> ref_.r_order then
+    QCheck2.Test.fail_report "Enumerate.all differs from the reference order";
+  let budget =
+    Option.map (fun f -> int_of_float (f *. float_of_int ref_.r_total)) budget_frac
+  in
+  let prefix = ref [] in
+  (match
+     Enumerate.iter ?span_limit ?budget ~max_size:capacity ctx ~f:(fun a ->
+         prefix := Antichain.nodes a :: !prefix)
+   with
+  | () | (exception Enumerate.Budget_exhausted) -> ());
+  let cut = (reference ?span_limit ?budget ~capacity g).r_order in
+  if List.rev !prefix <> cut then
+    QCheck2.Test.fail_report "budgeted Enumerate.iter is not the reference prefix";
+  (* Sharded buckets over a two-chunk split merge to the same result. *)
+  let n = Dfg.node_count g in
+  let bucket lo hi =
+    Option.get (Classify.bucket_roots ?span_limit ~capacity ctx ~lo ~hi)
+  in
+  let merged =
+    Classify.of_buckets ?span_limit ~capacity ctx [ bucket 0 (n / 2); bucket (n / 2) n ]
+  in
+  (match agree ~kept:false ref_ merged with
+  | Ok () -> ()
+  | Error e -> QCheck2.Test.fail_reportf "bucket merge: %s" e);
+  true
+
+let oracle_props =
+  let test name prop =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:60 ~name ~print:print_oracle_case oracle_case_gen prop)
+  in
+  [
+    test "classification = list-walk reference (budgets, spans, jobs)" oracle_prop;
+    test "enumeration and buckets = list-walk reference" oracle_walk_prop;
+  ]
+
 let () =
   Alcotest.run "antichain"
     [
@@ -259,4 +481,5 @@ let () =
             test_theorem1_on_schedule;
         ]
         @ enum_props );
+      ("oracle", oracle_props);
     ]

@@ -110,6 +110,24 @@ let all_pairs_agree u ids =
         ids)
     ids
 
+let test_copy_is_independent () =
+  let u = Universe.create ~expected:1 () in
+  let ids = List.map (fun s -> Universe.intern u (pat s)) [ "ab"; "a"; "cc" ] in
+  (* Build part of the matrix first so the copy starts with one. *)
+  ignore (Universe.subpattern u (List.nth ids 1) ~of_:(List.nth ids 0));
+  let c = Universe.copy u in
+  Alcotest.(check (list string)) "same ids and spellings"
+    (List.map (Universe.to_string u) ids)
+    (List.map (Universe.to_string c) ids);
+  let fresh = List.map (fun s -> Universe.intern c (pat s)) [ "abc"; "d"; "aab" ] in
+  Alcotest.(check int) "copy grew" 6 (Universe.cardinal c);
+  Alcotest.(check int) "original untouched" 3 (Universe.cardinal u);
+  Alcotest.(check bool) "original does not know the copy's patterns" true
+    (Universe.find u (pat "abc") = None);
+  Alcotest.(check bool) "copy's matrix covers old and new ids" true
+    (all_pairs_agree c (ids @ fresh));
+  Alcotest.(check bool) "original's matrix still right" true (all_pairs_agree u ids)
+
 let props =
   [
     qtest "universe: interning is injective (id <-> pattern)" pool_gen
@@ -210,6 +228,7 @@ let () =
           Alcotest.test_case "memoized facts" `Quick test_memoized_facts;
           Alcotest.test_case "sorted ids" `Quick test_sorted_ids;
           Alcotest.test_case "merge" `Quick test_merge;
+          Alcotest.test_case "copy is independent" `Quick test_copy_is_independent;
         ] );
       ("properties", props);
       ( "classification",

@@ -188,7 +188,15 @@ let test_bitset_first_from () =
   Alcotest.(check (option int)) "from 0" (Some 3) (Bitset.first_from s 0);
   Alcotest.(check (option int)) "from 4" (Some 70) (Bitset.first_from s 4);
   Alcotest.(check (option int)) "from 71" (Some 199) (Bitset.first_from s 71);
-  Alcotest.(check (option int)) "past end" None (Bitset.first_from s 200)
+  Alcotest.(check (option int)) "past end" None (Bitset.first_from s 200);
+  Alcotest.(check int) "next_from 4" 70 (Bitset.next_from s 4);
+  Alcotest.(check int) "next_from past end" (-1) (Bitset.next_from s 200);
+  Alcotest.(check int) "next_from at a member" 199 (Bitset.next_from s 199);
+  Alcotest.(check int) "bit 62 of a word" 62
+    (Bitset.next_from (Bitset.of_list 200 [ 62 ]) 0);
+  Alcotest.check_raises "inter_of rejects mismatched universes"
+    (Invalid_argument "Bitset: universe mismatch") (fun () ->
+      Bitset.inter_of ~dst:(Bitset.create 10) s s)
 
 let int_list_gen = QCheck2.Gen.(list_size (0 -- 30) (0 -- 99))
 
@@ -219,7 +227,8 @@ let bitset_props =
   ]
 
 (* Model-based check against the stdlib's Set over int: same answers for
-   union/inter/diff/cardinal/mem/iter/first_from, at the word-boundary
+   union/inter/inter_of/diff/cardinal/mem/iter/first_from/next_from, at the
+   word-boundary
    universes 63/64/65 where the packed representation's last-word masking
    can go wrong (plus one comfortably multi-word size). *)
 module Int_set = Set.Make (Int)
@@ -266,6 +275,23 @@ let bitset_model_props =
       (fun u a _ -> List.init (u + 1) (fun i -> Bitset.first_from a i))
       (fun u a _ ->
         List.init (u + 1) (fun i -> Int_set.find_first_opt (fun x -> x >= i) a));
+    check_same "next_from across the whole universe"
+      (fun u a _ -> List.init (u + 2) (fun i -> Bitset.next_from a (i - 1)))
+      (fun u a _ ->
+        List.init (u + 2) (fun i ->
+            Option.value ~default:(-1)
+              (Int_set.find_first_opt (fun x -> x >= i - 1) a)));
+    check_same "inter_of into a third set"
+      (fun u a b ->
+        let dst = Bitset.of_list u [ 0; u - 1 ] in
+        Bitset.inter_of ~dst a b;
+        Bitset.elements dst)
+      (fun _ a b -> Int_set.elements (Int_set.inter a b));
+    check_same "inter_of aliasing its first operand"
+      (fun _ a b ->
+        Bitset.inter_of ~dst:a a b;
+        Bitset.elements a)
+      (fun _ a b -> Int_set.elements (Int_set.inter a b));
     check_same "full minus set = complement"
       (fun u a _ -> Bitset.elements (Bitset.diff (Bitset.full u) a))
       (fun u a _ ->
