@@ -185,7 +185,7 @@ let pp_speedup label tseq tpar =
     tpar
     (if tpar > 0. then tseq /. tpar else Float.nan)
 
-let run_scaling ?(smoke = false) ?(jobs = 4) () =
+let run_scaling ?(smoke = false) ~jobs () =
   let cores = Domain.recommended_domain_count () in
   Printf.printf "\n=== Domain scaling: sequential vs --jobs %d (host cores: %d) ===\n"
     jobs cores;

@@ -140,16 +140,6 @@ let iter ?span_limit ?budget ~max_size ctx ~f =
   let w = walker ?span_limit ?budget ~max_size ctx in
   walk w ~visit:(fun depth _ _ -> f (antichain w depth))
 
-let count_roots ?span_limit ~max_size ctx ~lo ~hi =
-  let w = walker ?span_limit ~max_size ctx in
-  if lo < 0 || hi > Dfg.node_count ctx.graph || lo > hi then
-    invalid_arg "Enumerate.count_roots: bad root range";
-  let c = ref 0 in
-  for root = lo to hi - 1 do
-    walk_root w root ~visit:(fun _ _ _ -> incr c)
-  done;
-  !c
-
 (* --- domain-parallel fan-out ----------------------------------------- *)
 
 (* Root subtrees are independent, so each becomes one pool task; per-root

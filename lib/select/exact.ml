@@ -191,11 +191,7 @@ let canonical_order classify set =
 
 (* Everything the per-root tasks share, prepared once: the candidate
    order, prune tables, prior-ban table, and the closures running one
-   root subtree or the sequential seed phase.  A [plan] is buildable in
-   any process from the same classification + arguments and yields
-   bit-identical [task_result]s — pool order, dominance, and the prior
-   table are all pattern-level, never raw universe ids — which is what
-   lets a shard worker re-derive the coordinator's plan locally. *)
+   root subtree or the sequential seed phase. *)
 type plan = {
   pl_np : int;
   pl_seed : Pattern.t list list -> session;
@@ -439,14 +435,7 @@ let make_plan ?priority ?(pruning = all_pruning) ?(max_nodes = 1_000_000)
   in
   { pl_np = np; pl_seed = seed; pl_run_root = run_root }
 
-let plan_roots plan = plan.pl_np
-
-let run_task plan ~inc root =
-  if root < 0 || root >= plan.pl_np then
-    invalid_arg "Exact.run_task: root out of range";
-  plan.pl_run_root ~inc root
-
-let search ?pool ?runner ?priority ?pruning ?max_nodes ?(seeds = []) ?bans
+let search ?pool ?priority ?pruning ?max_nodes ?(seeds = []) ?bans
     ~pdef classify =
   Obs.span "exact" @@ fun () ->
   let plan = make_plan ?priority ?pruning ?max_nodes ?bans ~pdef classify in
@@ -457,11 +446,8 @@ let search ?pool ?runner ?priority ?pruning ?max_nodes ?(seeds = []) ?bans
   let g_stats = ref (stats_of_session seed_s) in
   let g_capped = ref false in
   let run_batch inc batch =
-    match runner with
-    | Some r -> r ~inc batch
-    | None -> (
-        let f i = plan.pl_run_root ~inc i in
-        match pool with Some p -> Pool.map p ~f batch | None -> List.map f batch)
+    let f i = plan.pl_run_root ~inc i in
+    match pool with Some p -> Pool.map p ~f batch | None -> List.map f batch
   in
   let rec batches = function
     | [] -> []

@@ -72,18 +72,9 @@ let cost_entry ectx (strategy, patterns, known) =
   in
   { strategy; patterns; cycles }
 
-let run_named ?beam_width ~pdef classify name =
-  match List.assoc_opt name (strategies ?beam_width ~pdef classify) with
-  | Some thunk -> thunk ()
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Portfolio.run_named: unknown strategy %S" name)
-
 (* Fan-in: cost the un-costed sets on one shared evaluation context in
    submission order — strategies that agree on a pattern set share one
-   schedule through the memo cache, and the cache stays single-domain.
-   This is the half of [run] a process shard reuses: workers produce
-   (strategy, patterns, known) rows, the coordinator ranks them here. *)
+   schedule through the memo cache, and the cache stays single-domain. *)
 let of_produced classify produced =
   let ectx = Eval.make (Classify.graph classify) in
   let candidates = List.map (cost_entry ectx) produced in

@@ -152,18 +152,24 @@ let certificate_json (ct : C.Exact.certificate) =
 
 (* ---- execution ---- *)
 
-type prepared = (P.request * C.Dfg.t option, P.error) result
+(* A request line after parsing and graph resolution.  The protocol
+   admits a graphless request only for "stats" and refuses "stats" with a
+   graph, so the graph decides the case. *)
+type prepared =
+  | Stats_request of P.request
+  | Graph_request of P.request * C.Dfg.t
+  | Protocol_error of P.error
 
-let prepare line : prepared =
+let prepare line =
   match P.request_of_line line with
-  | Error _ as e -> e
+  | Error e -> Protocol_error e
   | Ok r -> (
       match r.P.source with
-      | None -> Ok (r, None)
+      | None -> Stats_request r
       | Some s -> (
           match resolve_source s with
-          | Ok g -> Ok (r, Some g)
-          | Error m -> Error { P.err_id = r.P.id; message = m }))
+          | Ok g -> Graph_request (r, g)
+          | Error m -> Protocol_error { P.err_id = r.P.id; message = m }))
 
 let describe_exn = function
   | C.Eval.Unschedulable colors ->
@@ -174,16 +180,20 @@ let describe_exn = function
   | Invalid_argument m | Failure m -> m
   | exn -> Printexc.to_string exn
 
+let stats_fields sess =
+  let sh, sm = Session.session_cache_stats sess in
+  [
+    ("requests", num (Session.request_count sess));
+    ("graphs", num (Session.graph_count sess));
+    ("eval_cache", Json.Obj [ ("hits", num sh); ("misses", num sm) ]);
+  ]
+
 (* The command body: list of response fields plus the warm bit. *)
 let run_command sess (r : P.request) g =
   let options = options_of_request r in
-  let entry () =
-    match g with
-    | Some g -> fst (Session.intern sess g)
-    | None -> assert false (* the protocol guarantees a graph *)
-  in
+  let entry () = fst (Session.intern sess g) in
   match r.P.command with
-  | P.Stats -> assert false (* handled by [execute] *)
+  | P.Stats -> (stats_fields sess, false)
   | P.Select -> (
       let e = entry () in
       match options.C.Pipeline.strategy with
@@ -223,7 +233,7 @@ let run_command sess (r : P.request) g =
         :: schedule_json (Session.graph e) res.C.Eval.schedule,
         warm )
   | P.Pipeline ->
-      let t, warm = Session.pipeline sess (Option.get g) ~options in
+      let t, warm = Session.pipeline sess g ~options in
       ( (match t.C.Pipeline.auto with
         | Some o -> [ auto_json o ]
         | None -> [])
@@ -245,7 +255,7 @@ let run_command sess (r : P.request) g =
   | P.Certify ->
       let max_nodes = r.P.max_nodes in
       let cert, warm =
-        Session.certify sess (Option.get g) ~options ?max_nodes ()
+        Session.certify sess g ~options ?max_nodes ()
       in
       ( [
           ( "heuristic",
@@ -261,7 +271,7 @@ let run_command sess (r : P.request) g =
   | P.Edit ->
       Obs.count "serve.edit" 1;
       let e', pats, patched, res, warm =
-        Session.edit sess (Option.get g) ~options ~edits:r.P.edits
+        Session.edit sess g ~options ~edits:r.P.edits
       in
       let g' = Session.graph e' in
       ( [
@@ -317,19 +327,11 @@ let execute sess (p : prepared) =
   Session.note_request sess;
   Obs.count "serve.requests" 1;
   match p with
-  | Error e ->
+  | Protocol_error e ->
       Obs.count "serve.errors" 1;
       P.error_response ~id:e.P.err_id e.P.message
-  | Ok (r, _) when r.P.command = P.Stats ->
-      let sh, sm = Session.session_cache_stats sess in
-      ok_response ~id:r.P.id ~cmd:"stats"
-        [
-          ("requests", num (Session.request_count sess));
-          ("graphs", num (Session.graph_count sess));
-          ( "eval_cache",
-            Json.Obj [ ("hits", num sh); ("misses", num sm) ] );
-        ]
-  | Ok (r, g) -> (
+  | Stats_request r -> ok_response ~id:r.P.id ~cmd:"stats" (stats_fields sess)
+  | Graph_request (r, g) -> (
       let before = Session.session_cache_stats sess in
       match run_command sess r g with
       | fields, warm ->

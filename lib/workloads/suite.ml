@@ -128,11 +128,9 @@ let extras =
     };
   ]
 
-(* Huge tier: layered-random DAGs sized for the sharded regime
-   ([mpsched --procs N], the bench --scaling multi-process rows).  Big
-   enough that root-range classification dominates wall-clock and chunks
-   amortise a fork+pipe round-trip; still seconds, not minutes, per
-   graph so the full selector fit can afford them. *)
+(* Huge tier: layered-random DAGs big enough that root-range
+   classification dominates the wall clock; still seconds, not minutes,
+   per graph so the full selector fit can afford them. *)
 let huge_tier =
   [
     {

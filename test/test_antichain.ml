@@ -436,17 +436,6 @@ let oracle_walk_prop (seed, layers, width, capacity, span_limit, jobs, _, budget
   let cut = (reference ?span_limit ?budget ~capacity g).r_order in
   if List.rev !prefix <> cut then
     QCheck2.Test.fail_report "budgeted Enumerate.iter is not the reference prefix";
-  (* Sharded buckets over a two-chunk split merge to the same result. *)
-  let n = Dfg.node_count g in
-  let bucket lo hi =
-    Option.get (Classify.bucket_roots ?span_limit ~capacity ctx ~lo ~hi)
-  in
-  let merged =
-    Classify.of_buckets ?span_limit ~capacity ctx [ bucket 0 (n / 2); bucket (n / 2) n ]
-  in
-  (match agree ~kept:false ref_ merged with
-  | Ok () -> ()
-  | Error e -> QCheck2.Test.fail_reportf "bucket merge: %s" e);
   true
 
 let oracle_props =

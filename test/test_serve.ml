@@ -2,12 +2,14 @@
    responses agree with the direct library calls they wrap, warm requests
    return the same results as cold ones (with the exact backend doing zero
    re-evaluation), the response stream is identical for any pool size, and
-   a malformed request never takes the session down. *)
+   a malformed request never takes the session down, and the Unix-socket
+   transport carries the same stream as plain channels. *)
 
 module Json = Mps_util.Json
 module Protocol = Mps_serve.Protocol
 module Session = Mps_serve.Session
 module Server = Mps_serve.Server
+module Socket = Mps_serve.Socket
 module Pool = Mps_exec.Pool
 module Pipeline = Core.Pipeline
 module Select = Core.Select
@@ -429,6 +431,62 @@ let test_cache_stats_accumulate () =
   let h, m = Session.session_cache_stats sess in
   Alcotest.(check (pair int int)) "session_cache_stats agrees" (sh2, sm2) (h, m)
 
+(* --- socket transport -------------------------------------------------------- *)
+
+let request_lines () =
+  In_channel.with_open_text "cli/serve_requests.txt" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> String.trim l <> "")
+
+(* [Server.run] on a fresh session over plain file channels. *)
+let plain_responses lines =
+  let req = Filename.temp_file "mps_serve" ".in" in
+  let resp = Filename.temp_file "mps_serve" ".out" in
+  Out_channel.with_open_text req (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+  In_channel.with_open_text req (fun ic ->
+      Out_channel.with_open_text resp (fun oc ->
+          Server.run (Session.create ()) ic oc));
+  let out = In_channel.with_open_text resp In_channel.input_all in
+  Sys.remove req;
+  Sys.remove resp;
+  List.filter (fun l -> l <> "") (String.split_on_char '\n' out)
+
+(* One connection served by [Server.run] on another domain; the client
+   pipelines every request, half-closes, then reads the responses back. *)
+let test_socket_round_trip () =
+  let lines = request_lines () in
+  let dir = Filename.temp_dir "mps_serve" "" in
+  let path = Filename.concat dir "serve.sock" in
+  Out_channel.with_open_text path (fun oc -> output_string oc "stale");
+  let fd = Socket.listen ~path in
+  let server =
+    Domain.spawn (fun () ->
+        let conn = Socket.accept fd in
+        let ic, oc = Socket.channels conn in
+        Server.run (Session.create ()) ic oc;
+        Socket.close conn)
+  in
+  let client = Socket.connect ~path in
+  let _, oc = Socket.channels client in
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+  Socket.shutdown_send client;
+  let got =
+    List.map
+      (fun _ ->
+        match Socket.recv client with
+        | Ok j -> Json.to_line j
+        | Error m -> Alcotest.fail m)
+      lines
+  in
+  Domain.join server;
+  Socket.close client;
+  Unix.close fd;
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check (list string))
+    "socket responses = plain-channel responses" (plain_responses lines) got
+
 let () =
   Alcotest.run "serve"
     [
@@ -471,5 +529,10 @@ let () =
             test_error_echoes_id;
           Alcotest.test_case "cache stats: per-request deltas, session totals"
             `Quick test_cache_stats_accumulate;
+        ] );
+      ( "socket transport",
+        [
+          Alcotest.test_case "listen/accept/connect = plain channels" `Quick
+            test_socket_round_trip;
         ] );
     ]
