@@ -12,7 +12,6 @@ module Enumerate = Core.Enumerate
 module Classify = Core.Classify
 module Select = Core.Select
 module Random_select = Core.Random_select
-module Greedy_cover = Core.Greedy_cover
 module Exhaustive = Core.Exhaustive
 module Pattern_source = Core.Pattern_source
 module Mp = Core.Multi_pattern
@@ -142,7 +141,7 @@ let selector_battle () =
       let cls = Classify.compute ~span_limit:1 ~budget:3_000_000 ~capacity (Enumerate.make_ctx g) in
       let ev = Core.Eval.make g in
       let eq8 = Core.Eval.cycles ev (Select.select ~pdef:4 cls) in
-      let greedy = Core.Eval.cycles ev (Greedy_cover.select ~pdef:4 cls) in
+      let greedy = Core.Eval.cycles ev (Core.Priority_variants.(select greedy_count) ~pdef:4 cls) in
       let fds =
         Core.Eval.cycles ev
           (Pattern_source.harvest ~method_:Pattern_source.Force_directed ~capacity

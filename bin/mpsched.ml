@@ -830,7 +830,7 @@ let serve_cmd =
       (Session.graph_count sess)
       hits misses
   in
-  let run use_stdin listen connect jobs batch stats trace_out =
+  let run use_stdin listen connect jobs stats trace_out =
     match (use_stdin, listen, connect) with
     | _, _, Some path ->
         (* Client mode: forward stdin's request lines to a listening
@@ -845,25 +845,25 @@ let serve_cmd =
                    (Printf.sprintf "serve --connect %s: %s" path
                       (Unix.error_message e)))
         in
-        (* The server reads ahead in batches, so pipeline: send every
-           request first, half-close to mark the end, then drain the
-           responses (one line per request, in order). *)
+        (* The server answers each line before it reads the next, so
+           send one request, print its response line, then send the
+           next.  Blank lines get no response and are not sent. *)
         let _, oc = Socket.channels t in
-        let rec send_all n =
+        let rec forward () =
           match input_line stdin with
-          | line ->
+          | exception End_of_file -> ()
+          | line when String.trim line = "" -> forward ()
+          | line -> (
               output_string oc line;
               output_char oc '\n';
-              send_all (if String.trim line = "" then n else n + 1)
-          | exception End_of_file -> n
+              flush oc;
+              match Socket.recv t with
+              | Ok j ->
+                  print_endline (C.Json.to_line j);
+                  forward ()
+              | Error m -> or_fail (Error ("serve --connect: " ^ m)))
         in
-        let sent = send_all 0 in
-        Socket.shutdown_send t;
-        for _ = 1 to sent do
-          match Socket.recv t with
-          | Ok j -> print_endline (C.Json.to_line j)
-          | Error m -> or_fail (Error ("serve --connect: " ^ m))
-        done;
+        forward ();
         Socket.close t
     | _, Some path, None ->
         (* Socket transport: one warm session shared by every connection,
@@ -884,7 +884,7 @@ let serve_cmd =
         let rec accept_loop () =
           let conn = Socket.accept fd in
           let ic, oc = Socket.channels conn in
-          Server.run ~batch sess ic oc;
+          Server.run sess ic oc;
           Socket.close conn;
           if stats then print_session_stats sess;
           accept_loop ()
@@ -893,7 +893,7 @@ let serve_cmd =
     | true, None, None ->
         with_obs stats trace_out @@ fun () ->
         with_session jobs @@ fun sess ->
-        Server.run ~batch sess stdin stdout;
+        Server.run sess stdin stdout;
         if stats then print_session_stats sess
     | false, None, None ->
         or_fail (Error "serve: pass --stdin, --listen PATH or --connect PATH")
@@ -925,14 +925,6 @@ let serve_cmd =
             "Client mode: forward request lines from standard input to the \
              server listening at $(docv) and print its responses.")
   in
-  let batch =
-    Arg.(
-      value & opt int 32
-      & info [ "batch" ] ~docv:"N"
-          ~doc:
-            "How many requests are read ahead per batch (parse fan-out \
-             across --jobs); never changes any response.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -941,7 +933,7 @@ let serve_cmd =
           classification/eval/ban caches across requests, byte-identical \
           responses for every --jobs value")
     Term.(
-      const run $ use_stdin $ listen $ connect $ jobs_arg $ batch $ stats_arg
+      const run $ use_stdin $ listen $ connect $ jobs_arg $ stats_arg
       $ trace_out_arg)
 
 (* --- workload --- *)

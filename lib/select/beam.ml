@@ -6,7 +6,6 @@ module Id = Mps_pattern.Pattern.Id
 module Classify = Mps_antichain.Classify
 module Eval = Mps_scheduler.Eval
 module Obs = Mps_obs.Obs
-module Listx = Mps_util.Listx
 
 type outcome = {
   patterns : Pattern.t list;
@@ -24,16 +23,6 @@ type state = {
   pool : (Id.t * int array) list;
   heuristic : float;
 }
-
-let priority ~params ~cover ~freq ~size =
-  let open Select in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun n h ->
-      if h > 0 then
-        acc := !acc +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
-    freq;
-  !acc +. (params.alpha *. float_of_int (size * size))
 
 let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Beam.search: pdef must be >= 1";
@@ -56,21 +45,15 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
     }
   in
   let extend step state =
-    let remaining_picks = pdef - step - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors state.covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) state.covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
+    let covered = state.covered in
+    let eq9 = Select.eq9 u ~colors:all_colors ~capacity ~picks_left:(pdef - step - 1) ~covered in
     let apply pid freq score =
       let cover = Array.copy state.cover in
       Array.iteri (fun k h -> cover.(k) <- cover.(k) + h) freq;
       {
         chosen = pid :: state.chosen;
         cover;
-        covered = Color.Set.union state.covered (Universe.color_set u pid);
+        covered = Color.Set.union covered (Universe.color_set u pid);
         pool =
           List.filter (fun (q, _) -> not (Universe.subpattern u q ~of_:pid)) state.pool;
         heuristic = state.heuristic +. score;
@@ -79,25 +62,18 @@ let search ?(width = 4) ?(params = Select.default_params) ~pdef classify =
     let scored =
       List.filter_map
         (fun (id, freq) ->
-          if color_condition id then
-            let s =
-              priority ~params ~cover:state.cover ~freq ~size:(Universe.size u id)
-            in
+          if eq9 id then
+            let s = Select.eq8 params ~cover:state.cover ~freq ~size:(Universe.size u id) in
             Some (s, id, freq)
           else None)
         state.pool
     in
     match scored with
-    | [] ->
+    | [] -> (
         (* Fallback, exactly as Fig. 7: fabricate from uncovered colors. *)
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors state.covered) in
-        if uncovered = [] then [ { state with chosen = state.chosen } ]
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          [ apply pid (Array.make n 0) 0.0 ]
-        end
+        match Select.fabricate u ~colors:all_colors ~capacity ~covered with
+        | None -> [ state ]
+        | Some pid -> [ apply pid (Array.make n 0) 0.0 ])
     | _ ->
         List.sort (fun (s1, _, _) (s2, _, _) -> compare s2 s1) scored
         |> List.filteri (fun i _ -> i < width)

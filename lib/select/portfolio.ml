@@ -35,7 +35,9 @@ let strategies ?(beam_width = 4) ~pdef classify :
               fun () -> (Priority_variants.select v ~pdef classify, None) ))
       Priority_variants.all
   @ [
-      ("greedy-count", fun () -> (Greedy_cover.select ~pdef classify, None));
+      ( "greedy-count",
+        fun () -> (Priority_variants.select Priority_variants.greedy_count ~pdef classify, None)
+      );
       ( "harvest:greedy",
         fun () ->
           ( Pattern_source.harvest ~method_:Pattern_source.Greedy ~capacity ~pdef

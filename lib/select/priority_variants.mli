@@ -6,7 +6,7 @@
     module is that experiment, kept apart from the faithful {!Select} so
     the reproduction stays pristine.  A variant scores a candidate pattern
     given the per-node antichain frequencies and the coverage accumulated
-    by earlier picks; {!select} runs Fig. 7's loop (color condition,
+    by earlier picks; {!select} runs {!Select.loop} (color condition,
     subpattern deletion, fallback) with any variant plugged in. *)
 
 type context = {
@@ -41,6 +41,12 @@ val sqrt_damping : variant
 (** Balancing via 1/sqrt(cover+ε) — gentler damping than Eq. 8's 1/x. *)
 
 val all : variant list
+(** The variants above, in ablation-table order. *)
+
+val greedy_count : variant
+(** The raw antichain count alone: no per-node balancing, no α size
+    bonus.  An ablation of both Eq. 8 terms, run by the portfolio as
+    ["greedy-count"]; not in {!all}. *)
 
 val select :
   variant -> pdef:int -> Mps_antichain.Classify.t -> Mps_pattern.Pattern.t list

@@ -28,120 +28,93 @@ let covers_all_colors g patterns =
   in
   List.for_all (fun c -> Color.Set.mem c covered) (Dfg.colors g)
 
-let priority_of ~params ~cover ~freq ~size_ =
-  let balance = ref 0.0 in
+let balance ~epsilon ~cover freq =
+  let acc = ref 0.0 in
   Array.iteri
     (fun n h ->
-      if h > 0 then
-        balance := !balance +. (float_of_int h /. (float_of_int cover.(n) +. params.epsilon)))
+      if h > 0 then acc := !acc +. (float_of_int h /. (float_of_int cover.(n) +. epsilon)))
     freq;
-  !balance +. (params.alpha *. float_of_int (size_ * size_))
+  !acc
+
+let eq8 params ~cover ~freq ~size =
+  balance ~epsilon:params.epsilon ~cover freq +. (params.alpha *. float_of_int (size * size))
+
+let eq9 u ~colors ~capacity ~picks_left ~covered =
+  let missing = Color.Set.cardinal (Color.Set.diff colors covered) in
+  fun id ->
+    Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) covered)
+    >= missing - (capacity * picks_left)
+
+let fabricate u ~colors ~capacity ~covered =
+  match Color.Set.elements (Color.Set.diff colors covered) with
+  | [] -> None
+  | uncovered -> Some (Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered)))
+
+let loop ?(evidence = false) u ~colors ~capacity ~pdef ~score ~commit pool =
+  let rec go i pool covered steps =
+    if i >= pdef then List.rev steps
+    else begin
+      let ok = eq9 u ~colors ~capacity ~picks_left:(pdef - i - 1) ~covered in
+      let best = ref None and priorities = ref [] in
+      List.iter
+        (fun (id, x) ->
+          let f = if ok id then score id x else 0.0 in
+          if evidence then priorities := (Universe.pattern u id, f) :: !priorities;
+          match !best with
+          | Some (_, _, bf) when bf >= f -> ()
+          | _ when f > 0.0 -> best := Some (id, x, f)
+          | _ -> ())
+        pool;
+      let take pid ~priority ~fallback =
+        let deleted, kept = List.partition (fun (q, _) -> Universe.subpattern u q ~of_:pid) pool in
+        let step =
+          {
+            chosen = Universe.pattern u pid;
+            priority;
+            fallback;
+            deleted = List.map (fun (q, _) -> Universe.pattern u q) deleted;
+            priorities = List.rev !priorities;
+          }
+        in
+        go (i + 1) kept (Color.Set.union covered (Universe.color_set u pid)) (step :: steps)
+      in
+      match !best with
+      | Some (pid, x, f) ->
+          commit x;
+          take pid ~priority:f ~fallback:false
+      | None -> (
+          (* No candidate works: fabricate from uncovered colors (Fig. 7,
+             line 3).  With every color covered more patterns cannot
+             change any schedule, so stop early. *)
+          match fabricate u ~colors ~capacity ~covered with
+          | Some pid -> take pid ~priority:0.0 ~fallback:true
+          | None -> List.rev steps)
+    end
+  in
+  let steps = go 0 pool Color.Set.empty [] in
+  { patterns = List.map (fun s -> s.chosen) steps; steps }
 
 let select_report ?(params = default_params) ~pdef classify =
   if pdef < 1 then invalid_arg "Select.select: pdef must be >= 1";
   Obs.span "select" @@ fun () ->
   let g = Classify.graph classify in
-  let capacity = Classify.capacity classify in
   let u = Classify.universe classify in
-  let n = Dfg.node_count g in
-  let all_colors = Color.Set.of_list (Dfg.colors g) in
-  (* Candidate pool: every pattern with at least one antichain, as a
-     universe id with its (immutable) frequency vector. *)
-  let pool =
-    ref
+  let cover = Array.make (Dfg.node_count g) 0 in
+  let r =
+    loop ~evidence:true u
+      ~colors:(Color.Set.of_list (Dfg.colors g))
+      ~capacity:(Classify.capacity classify) ~pdef
+      ~score:(fun id freq -> eq8 params ~cover ~freq ~size:(Universe.size u id))
+      ~commit:(fun freq -> Array.iteri (fun n h -> cover.(n) <- cover.(n) + h) freq)
       (Classify.fold_ids (fun id ~count:_ ~freq acc -> (id, freq) :: acc) classify []
       |> List.rev)
   in
-  let cover = Array.make n 0 in
-  let covered = ref Color.Set.empty in
-  let steps = ref [] in
-  let selected = ref [] in
-  let stop = ref false in
-  let i = ref 0 in
-  while (not !stop) && !i < pdef do
-    let remaining_picks = pdef - !i - 1 in
-    let missing = Color.Set.cardinal (Color.Set.diff all_colors !covered) in
-    let color_condition id =
-      let new_colors =
-        Color.Set.cardinal (Color.Set.diff (Universe.color_set u id) !covered)
-      in
-      new_colors >= missing - (capacity * remaining_picks)
-    in
-    let scored =
-      List.map
-        (fun (id, freq) ->
-          let f =
-            if color_condition id then
-              priority_of ~params ~cover ~freq ~size_:(Universe.size u id)
-            else 0.0
-          in
-          (id, freq, f))
-        !pool
-    in
-    let best =
-      List.fold_left
-        (fun acc (id, freq, f) ->
-          match acc with
-          | Some (_, _, bf) when bf >= f -> acc
-          | _ when f > 0.0 -> Some (id, freq, f)
-          | _ -> acc)
-        None scored
-    in
-    let priorities = List.map (fun (id, _, f) -> (Universe.pattern u id, f)) scored in
-    let delete_covered_by pid =
-      let deleted, kept =
-        List.partition (fun (q, _) -> Universe.subpattern u q ~of_:pid) !pool
-      in
-      pool := kept;
-      List.map (fun (q, _) -> Universe.pattern u q) deleted
-    in
-    (match best with
-    | Some (pid, freq, f) ->
-        let deleted = delete_covered_by pid in
-        Array.iteri (fun k h -> cover.(k) <- cover.(k) + h) freq;
-        covered := Color.Set.union !covered (Universe.color_set u pid);
-        selected := Universe.pattern u pid :: !selected;
-        steps :=
-          {
-            chosen = Universe.pattern u pid;
-            priority = f;
-            fallback = false;
-            deleted;
-            priorities;
-          }
-          :: !steps
-    | None ->
-        (* No candidate works: fabricate from uncovered colors (up to C).
-           With nothing uncovered and an empty viable pool, more patterns
-           cannot help; stop early. *)
-        let uncovered = Color.Set.elements (Color.Set.diff all_colors !covered) in
-        if uncovered = [] then stop := true
-        else begin
-          let pid =
-            Universe.intern u (Pattern.of_colors (Listx.take capacity uncovered))
-          in
-          let deleted = delete_covered_by pid in
-          covered := Color.Set.union !covered (Universe.color_set u pid);
-          selected := Universe.pattern u pid :: !selected;
-          steps :=
-            {
-              chosen = Universe.pattern u pid;
-              priority = 0.0;
-              fallback = true;
-              deleted;
-              priorities;
-            }
-            :: !steps
-        end);
-    incr i
-  done;
-  let steps = List.rev !steps in
   Obs.count "select.candidates" (Classify.pattern_count classify);
-  Obs.count "select.steps" (List.length steps);
+  Obs.count "select.steps" (List.length r.steps);
   Obs.count "select.fallbacks"
-    (List.length (List.filter (fun s -> s.fallback) steps));
+    (List.length (List.filter (fun s -> s.fallback) r.steps));
   Obs.count "select.deleted"
-    (List.fold_left (fun acc s -> acc + List.length s.deleted) 0 steps);
-  { patterns = List.rev !selected; steps }
+    (List.fold_left (fun acc s -> acc + List.length s.deleted) 0 r.steps);
+  r
 
 let select ?params ~pdef classify = (select_report ?params ~pdef classify).patterns

@@ -15,7 +15,12 @@
     remaining picks that every color of the graph ends up covered.  When no
     candidate has nonzero priority, a pattern is fabricated from uncovered
     colors (Fig. 7, line 3).  After each selection the chosen pattern's
-    subpatterns are deleted from the candidate pool (line 4). *)
+    subpatterns are deleted from the candidate pool (line 4).
+
+    {!loop} is the one implementation of that loop.  Its score function
+    is the only part a caller chooses, so the same loop also runs the
+    {!Priority_variants} scores, the greedy-count ablation and the
+    kernel-suite selection of {!Shared}. *)
 
 type params = { epsilon : float; alpha : float }
 
@@ -38,6 +43,67 @@ type report = {
   patterns : Mps_pattern.Pattern.t list;  (** In selection order. *)
   steps : step list;
 }
+
+val balance : epsilon:float -> cover:int array -> int array -> float
+(** Eq. 8's first addend, Σ_n h(p̄,n) / (cover(n) + ε) over the nodes
+    with h > 0, summed in node order. *)
+
+val eq8 : params -> cover:int array -> freq:int array -> size:int -> float
+(** The priority f(p̄) of a candidate of size [size] with frequency
+    vector [freq]: [balance] plus α·|p̄|², added in that order. *)
+
+val eq9 :
+  Mps_pattern.Universe.t ->
+  colors:Mps_dfg.Color.Set.t ->
+  capacity:int ->
+  picks_left:int ->
+  covered:Mps_dfg.Color.Set.t ->
+  Mps_pattern.Pattern.Id.t ->
+  bool
+(** The color-number condition for a candidate, given the graph's
+    [colors], the colors [covered] so far and the [picks_left] after this
+    one.  Apply everything but the id once per step: the missing-color
+    count is computed there, not per candidate. *)
+
+val fabricate :
+  Mps_pattern.Universe.t ->
+  colors:Mps_dfg.Color.Set.t ->
+  capacity:int ->
+  covered:Mps_dfg.Color.Set.t ->
+  Mps_pattern.Pattern.Id.t option
+(** Fig. 7's fallback: the pattern of the first [capacity] uncovered
+    colors, interned into the universe; [None] when every color is
+    covered. *)
+
+val loop :
+  ?evidence:bool ->
+  Mps_pattern.Universe.t ->
+  colors:Mps_dfg.Color.Set.t ->
+  capacity:int ->
+  pdef:int ->
+  score:(Mps_pattern.Pattern.Id.t -> 'a -> float) ->
+  commit:('a -> unit) ->
+  (Mps_pattern.Pattern.Id.t * 'a) list ->
+  report
+(** Fig. 7 over a candidate pool of interned ids, each with a payload
+    ['a] the caller's functions read.  At each of up to [pdef] steps:
+
+    - every candidate that passes {!eq9} is scored with [score id x];
+      one that fails scores 0;
+    - the highest score wins, ties keeping the earlier candidate, and only
+      a score [> 0] can win;
+    - [commit x] is called on the winner's payload [x], so the caller
+      can add its frequencies to the coverage its [score] reads;
+    - the winner's subpatterns (itself included) leave the pool, and its
+      colors count as covered;
+    - with no winner, {!fabricate}'s pattern is taken instead (no
+      [commit], priority 0); when every color is covered the loop stops
+      early.
+
+    [score] must not depend on anything but the payload, the id and the
+    state [commit] updates.  [evidence] (default false) keeps each step's
+    scored candidate list in [priorities], in pool order; without it
+    [priorities] is empty.  Opens no span and counts nothing. *)
 
 val select :
   ?params:params -> pdef:int -> Mps_antichain.Classify.t -> Mps_pattern.Pattern.t list

@@ -350,46 +350,19 @@ let execute sess (p : prepared) =
 
 let handle_line sess line = Json.to_line (execute sess (prepare line))
 
-let default_batch = 32
-
-let run ?(batch = default_batch) sess ic oc =
-  let batch = max 1 batch in
-  (* Read up to [batch] non-blank lines; blank lines are transport noise
-     (trailing newlines, manual testing), not requests. *)
-  let rec read_batch acc n =
-    if n = 0 then List.rev acc
-    else
-      match input_line ic with
-      | line ->
-          if String.trim line = "" then read_batch acc n
-          else read_batch (line :: acc) (n - 1)
-      | exception End_of_file -> List.rev acc
-  in
-  let process lines =
-    Obs.span "serve.batch" @@ fun () ->
-    Obs.observe "serve.batch.size" (List.length lines);
-    (* Parsing and graph resolution are pure, so they fan out; execution
-       mutates the warm session, so it runs sequentially in submission
-       order — which is exactly what keeps the response stream and every
-       counter byte-identical at any pool size. *)
-    let prepared =
-      match Session.pool sess with
-      | Some pool when List.length lines > 1 ->
-          C.Pool.map pool ~f:prepare lines
-      | _ -> List.map prepare lines
-    in
-    List.iter
-      (fun p ->
-        output_string oc (Json.to_line (execute sess p));
-        output_char oc '\n')
-      prepared;
-    flush oc
-  in
+(* Each line is answered and flushed before the next is read, so a client
+   may wait for every reply.  Blank lines are transport noise (trailing
+   newlines, manual testing), not requests. *)
+let run sess ic oc =
   let rec loop () =
-    match read_batch [] batch with
-    | [] -> ()
-    | lines ->
-        process lines;
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+        if String.trim line <> "" then begin
+          output_string oc (handle_line sess line);
+          output_char oc '\n';
+          flush oc
+        end;
         loop ()
   in
   loop ()

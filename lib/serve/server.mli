@@ -20,21 +20,18 @@
     {!Protocol.error_response}'s shape, and the session survives to
     serve the next line.
 
-    {2 Batching and determinism}
+    {2 Ordering and determinism}
 
-    {!run} reads up to [batch] lines, parses and resolves their graphs
-    in parallel across the session's pool (a pure fan-out through
-    {!Core.Pool.map}, results in submission order), then {e executes
-    them sequentially in submission order} against the warm session and
-    writes the responses in that same order.  Intra-request parallelism
-    (classification, exact search, portfolio) uses the pool's
-    jobs-deterministic phases, so the full response stream — and every
-    counter — is byte-identical for any [--jobs] value.
+    {!run} answers each line before it reads the next, so a client may
+    wait for every reply.  Requests execute in arrival order against the
+    warm session.  Intra-request parallelism (classification, exact
+    search, portfolio) uses the pool's jobs-deterministic phases, so the
+    full response stream — and every counter — is byte-identical for any
+    [--jobs] value.
 
-    Observability: each batch runs under a ["serve.batch"] span
-    (observing [serve.batch.size]), each request under a
-    ["serve.request"] span, with [serve.requests], [serve.errors],
-    [serve.warm] and [serve.cold] counters. *)
+    Observability: each request runs under a ["serve.request"] span,
+    with [serve.requests], [serve.errors], [serve.warm] and [serve.cold]
+    counters. *)
 
 val builtins : (string * (unit -> Core.Dfg.t)) list
 (** The built-in workload table — the full {!Core.Suite} corpus, in
@@ -44,15 +41,14 @@ val builtins : (string * (unit -> Core.Dfg.t)) list
 
 val resolve_source : Protocol.source -> (Core.Dfg.t, string) result
 (** A request's graph: built-in lookup, or DFG/DOT text through
-    {!Core.Dfg_parse.of_string}.  Pure — safe to fan out. *)
+    {!Core.Dfg_parse.of_string}.  Pure. *)
 
 val handle_line : Session.t -> string -> string
 (** One request line to one response line (no trailing newline) — the
     whole protocol for callers that do their own transport (tests, the
     bench load generator). *)
 
-val run : ?batch:int -> Session.t -> in_channel -> out_channel -> unit
+val run : Session.t -> in_channel -> out_channel -> unit
 (** The stdin/stdout service loop described above, until end of input.
-    Blank lines are skipped.  [batch] (default 32, clamped to ≥ 1) caps
-    how many requests are read ahead for parse fan-out; it never changes
-    any response, only pipelining. *)
+    Blank lines are skipped; every response is flushed as soon as it is
+    written. *)

@@ -41,7 +41,6 @@ let create ?pool () =
     s_classifications = 0;
   }
 
-let pool t = t.s_pool
 let graph_count t = List.length t.entry_list
 let request_count t = t.requests
 let note_request t = t.requests <- t.requests + 1

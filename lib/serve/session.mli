@@ -37,7 +37,6 @@ val create : ?pool:Core.Pool.t -> unit -> t
 (** A fresh session.  [pool], when given, is used by every parallel
     phase; its lifetime belongs to the caller. *)
 
-val pool : t -> Core.Pool.t option
 val graph_count : t -> int
 val request_count : t -> int
 

@@ -9,9 +9,9 @@ module Enumerate = Mps_antichain.Enumerate
 module Classify = Mps_antichain.Classify
 module Select = Mps_select.Select
 module Random_select = Mps_select.Random_select
-module Greedy_cover = Mps_select.Greedy_cover
 module Exhaustive = Mps_select.Exhaustive
 module Pattern_source = Mps_select.Pattern_source
+module Priority_variants = Mps_select.Priority_variants
 module Mp = Mps_scheduler.Multi_pattern
 module Schedule = Mps_scheduler.Schedule
 module Pg = Mps_workloads.Paper_graphs
@@ -188,7 +188,7 @@ let test_greedy_cover_valid () =
   let classify = Classify.compute ~span_limit:1 ~capacity:5 (Enumerate.make_ctx g) in
   List.iter
     (fun pdef ->
-      let pats = Greedy_cover.select ~pdef classify in
+      let pats = Priority_variants.(select greedy_count) ~pdef classify in
       Alcotest.(check bool) "covers colors" true (Select.covers_all_colors g pats);
       let r = Mp.schedule ~patterns:pats g in
       Alcotest.(check bool) "schedulable" true (Schedule.cycles r.schedule >= 5))

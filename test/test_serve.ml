@@ -2,8 +2,9 @@
    responses agree with the direct library calls they wrap, warm requests
    return the same results as cold ones (with the exact backend doing zero
    re-evaluation), the response stream is identical for any pool size, and
-   a malformed request never takes the session down, and the Unix-socket
-   transport carries the same stream as plain channels. *)
+   a malformed request never takes the session down, each request line is
+   answered before the next is read, and the Unix-socket transport carries
+   the same stream as plain channels. *)
 
 module Json = Mps_util.Json
 module Protocol = Mps_serve.Protocol
@@ -487,6 +488,67 @@ let test_socket_round_trip () =
   Alcotest.(check (list string))
     "socket responses = plain-channel responses" (plain_responses lines) got
 
+(* One reply line from [fd], or [None] if none is complete within
+   [timeout] seconds. *)
+let read_reply ~timeout fd =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let buf = Buffer.create 256 and byte = Bytes.create 1 in
+  let rec go () =
+    let left = deadline -. Unix.gettimeofday () in
+    if left <= 0. then None
+    else
+      match Unix.select [ fd ] [] [] left with
+      | [], _, _ -> None
+      | _ -> (
+          match Unix.read fd byte 0 1 with
+          | 0 -> None
+          | _ when Bytes.get byte 0 = '\n' -> Some (Buffer.contents buf)
+          | _ ->
+              Buffer.add_bytes buf byte;
+              go ())
+  in
+  go ()
+
+(* A client that waits for each answer before it sends the next request:
+   [Server.run] must answer a line as soon as it has read it. *)
+let test_answers_each_line () =
+  let lines =
+    [
+      {|{"id":1,"cmd":"select","graph":"3dft"}|};
+      {|{"id":2,"cmd":"stats"}|};
+      {|{"id":3,"cmd":"select","graph":"fig4"}|};
+    ]
+  in
+  let req_r, req_w = Unix.pipe () and resp_r, resp_w = Unix.pipe () in
+  let server =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        Server.run (Session.create ()) (Unix.in_channel_of_descr req_r) oc;
+        close_out oc)
+  in
+  let send l =
+    let b = Bytes.of_string (l ^ "\n") in
+    ignore (Unix.write req_w b 0 (Bytes.length b))
+  in
+  let got =
+    Fun.protect
+      ~finally:(fun () ->
+        (* End of input lets a server that still holds the line finish. *)
+        Unix.close req_w;
+        Domain.join server;
+        Unix.close req_r;
+        Unix.close resp_r)
+      (fun () ->
+        List.map
+          (fun l ->
+            send l;
+            match read_reply ~timeout:5. resp_r with
+            | Some r -> r
+            | None -> Alcotest.failf "no reply to %s within 5 s" l)
+          lines)
+  in
+  Alcotest.(check (list string)) "replies = plain-channel replies" (plain_responses lines) got
+
 let () =
   Alcotest.run "serve"
     [
@@ -529,6 +591,8 @@ let () =
             test_error_echoes_id;
           Alcotest.test_case "cache stats: per-request deltas, session totals"
             `Quick test_cache_stats_accumulate;
+          Alcotest.test_case "each line answered before the next is read"
+            `Quick test_answers_each_line;
         ] );
       ( "socket transport",
         [

@@ -57,6 +57,17 @@ let test_shared_single_kernel_consistent () =
     (List.map Pattern.to_string solo)
     (List.map Pattern.to_string o.Shared.patterns)
 
+let test_shared_pinned () =
+  (* Three kernels: the summed balance terms round in Shared's own order
+     (α·|p̄|² first, then kernel by kernel), which this list pins. *)
+  let o = Shared.select ~pdef:4 (suite ()) in
+  Alcotest.(check (list string)) "pdef 4 set"
+    [ "acccc"; "abbcc"; "aabbb"; "aaacc" ]
+    (List.map Pattern.to_string o.Shared.patterns);
+  Alcotest.(check (list (pair string int))) "per-kernel cycles"
+    [ ("3dft", 6); ("w5dft", 10); ("fir", 7) ]
+    o.Shared.per_kernel_cycles
+
 let test_shared_beats_borrowed_patterns () =
   (* A set tuned for one kernel, used on a foreign kernel suite, should not
      beat the jointly selected set in total cycles (on this suite). *)
@@ -110,6 +121,7 @@ let () =
           Alcotest.test_case "basics" `Quick test_shared_basics;
           Alcotest.test_case "single kernel = paper" `Quick
             test_shared_single_kernel_consistent;
+          Alcotest.test_case "three-kernel set pinned" `Quick test_shared_pinned;
           Alcotest.test_case "beats borrowed patterns" `Quick
             test_shared_beats_borrowed_patterns;
           Alcotest.test_case "rejections" `Quick test_shared_rejects;
